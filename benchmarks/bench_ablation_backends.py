@@ -2,27 +2,34 @@
 
 Puts the paper's two contenders (scalar CPU program, CUDA-style design) next
 to two alternatives a practitioner would consider before porting to a GPU:
-host-vectorised NumPy and a multi-process row partitioning.  All four produce
-identical results (asserted in the test-suite); only the time differs.
+host-vectorised NumPy, serial and with rows partitioned across a process pool
+(``executor="processes"``).  All four produce identical results (asserted in
+the test-suite); only the time differs.
 """
 
 import pytest
 
 from _bench_utils import SeriesCollector, run_and_time
 
-BACKENDS = ("cpu_reference", "vectorized", "gpusim", "multiprocess")
+#: run label -> (backend, config overrides)
+RUNS = {
+    "cpu_reference": ("cpu_reference", {}),
+    "vectorized": ("vectorized", {}),
+    "gpusim": ("gpusim", {}),
+    "multiprocess": ("vectorized", {"executor": "processes", "n_workers": 2}),
+}
 
 collector = SeriesCollector("Ablation: execution backends (2.7G-scaled workload)", x_label="backend")
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_backend_sweep(benchmark, workload_cache, backend):
+@pytest.mark.parametrize("label", RUNS)
+def test_backend_sweep(benchmark, workload_cache, label):
     workload = workload_cache("2.7G")
-    kwargs = {"n_workers": 2} if backend == "multiprocess" else {}
+    backend, kwargs = RUNS[label]
     seconds = benchmark.pedantic(
         run_and_time, args=(workload, backend), kwargs=kwargs, rounds=1, iterations=1, warmup_rounds=0
     )
-    collector.add(backend, "wall seconds", seconds)
+    collector.add(label, "wall seconds", seconds)
     benchmark.extra_info["n_elements"] = workload.n_elements
 
 

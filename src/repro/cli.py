@@ -32,9 +32,9 @@ Ten small tools mirror the original workflow:
 ``repro-benchmark``
     Run the paper's figure sweeps from the command line.
 ``repro-bench``
-    Run the host-parallelism scaling suite (worker-count curve, shm vs
-    pickle dispatch, pool reuse vs cold start) and write the
-    ``BENCH_<issue>.json`` perf-trajectory artifact.
+    Run the host-parallelism scaling suites (process-pool worker-count
+    curve, pool reuse vs cold start, the serial/threads/processes matrix)
+    and write the ``BENCH_<issue>.json`` perf-trajectory artifacts.
 ``repro-serve``
     Run the reconstruction service: an asyncio HTTP daemon with a bounded
     fair priority queue, cache-first admission (single-flight collapsed),
@@ -573,10 +573,10 @@ def main_bench(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-bench",
         description="Measure host-parallel scaling and write the BENCH_*.json "
-                    "artifacts.  --suite dispatch covers worker counts, shm vs "
-                    "pickle dispatch and pool reuse (BENCH_4); --suite executors "
-                    "covers the fused kernel and the serial/threads/processes "
-                    "matrix with the 2x-at-4-workers gate (BENCH_6).",
+                    "artifacts.  --suite dispatch covers process-pool worker "
+                    "counts and pool reuse (BENCH_4); --suite executors covers "
+                    "the serial/threads/processes matrix with the "
+                    "2x-at-4-workers gate (BENCH_6).",
     )
     parser.add_argument("--suite", choices=("dispatch", "executors", "all"),
                         default="executors",

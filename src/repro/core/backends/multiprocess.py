@@ -1,21 +1,21 @@
-"""Multiprocessing backend: detector rows partitioned across worker processes.
+"""Process-pool executor: detector rows partitioned across worker processes.
 
-A host-parallel baseline the paper does not evaluate (its CPU code is
-single-threaded) but that a practitioner would reach for before buying a
-GPU; it is included as an ablation point.  Each worker reconstructs a
-contiguous band of detector rows with the vectorised kernel; the engine
-stitches the bands together — depth reconstruction is embarrassingly
+The ``processes`` strategy of the vectorized backend
+(``config.executor="processes"``, built by
+:func:`~repro.core.engine.make_strategy_executor`).  A host-parallel
+baseline the paper does not evaluate (its CPU code is single-threaded) but
+that a practitioner would reach for before buying a GPU.  Each worker
+reconstructs a contiguous band of detector rows with the fused kernel; the
+engine stitches the bands together — depth reconstruction is embarrassingly
 parallel across rows because every (pixel, step) element writes only to its
 own pixel's depth profile.
 
-Dispatch is zero-copy by default: the executor leases input/output slabs
-from a :class:`~repro.core.workerpool.SlabArena`, copies each band's image
-slab into shared memory once, and the worker maps both segments by name
+Dispatch is zero-copy: the executor leases input/output slabs from a
+:class:`~repro.core.workerpool.SlabArena`, copies each band's image slab
+into shared memory once, and the worker maps both segments by name
 (:func:`_worker_reconstruct_rows` receives shm *names and shapes*, not
 arrays) and writes its partial cube in place — nothing cube-sized is ever
-pickled in either direction.  The legacy pickling dispatch is kept for
-comparison and as a fallback (``REPRO_MP_DISPATCH=pickle``); both produce
-bitwise-identical results.
+pickled in either direction.
 
 The process pool itself is the persistent
 :func:`~repro.core.workerpool.shared_pool`: it is reused across runs and
@@ -29,7 +29,6 @@ regardless of how many chunks the plan has.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from concurrent.futures import BrokenExecutor, Future
 from multiprocessing import shared_memory
@@ -37,7 +36,6 @@ from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.backends.base import Backend, register_backend
 from repro.core.chunking import ChunkPlan, estimate_chunk_device_bytes
 from repro.core.config import DifferenceMode, ReconstructionConfig
 from repro.core.depth_grid import DepthGrid
@@ -52,22 +50,30 @@ from repro.core.engine import (
 from repro.core.kernels import KernelContext, depth_resolve_chunk_fused
 from repro.core.workerpool import SlabArena, WorkerPool, shared_pool
 from repro.geometry.wire import WireEdge
-from repro.utils.validation import ValidationError
 
-__all__ = ["MultiprocessBackend", "MultiprocessExecutor", "DISPATCH_ENV_VAR"]
+__all__ = ["MultiprocessExecutor"]
 
-#: Environment override for the dispatch mode ("shm" or "pickle").
-DISPATCH_ENV_VAR = "REPRO_MP_DISPATCH"
+#: A pending chunk: (row_start, future, (input shm, output shm, output shape)).
+_Pending = Tuple[int, Future, Tuple[shared_memory.SharedMemory, shared_memory.SharedMemory, Tuple[int, int, int]]]
 
-_DISPATCH_MODES = ("shm", "pickle")
 
-#: A pending chunk: (row_start, future, lease) where lease is
-#: (input shm, output shm, output shape) for shm dispatch, None for pickle.
-_Pending = Tuple[int, Future, Optional[Tuple[shared_memory.SharedMemory, shared_memory.SharedMemory, Tuple[int, int, int]]]]
+def _row_bands(n_rows: int, n_workers: int) -> List[Tuple[int, int]]:
+    """Split ``range(n_rows)`` into ``n_workers`` near-equal contiguous bands."""
+    base = n_rows // n_workers
+    extra = n_rows % n_workers
+    bands: List[Tuple[int, int]] = []
+    start = 0
+    for worker in range(n_workers):
+        size = base + (1 if worker < extra else 0)
+        if size == 0:
+            continue
+        bands.append((start, start + size))
+        start += size
+    return bands
 
 
 def _kernel_payload(ctx: KernelContext, config: ReconstructionConfig) -> dict:
-    """The small, cheap-to-pickle kernel parameters shared by both dispatches."""
+    """The small, cheap-to-pickle kernel parameters sent with every band."""
     return {
         "back_edge_yz": ctx.back_edge_yz,
         "front_edge_yz": ctx.front_edge_yz,
@@ -133,32 +139,12 @@ def _worker_reconstruct_rows(payload: dict) -> None:
         in_shm.close()
 
 
-def _worker_reconstruct_rows_pickled(payload: dict) -> np.ndarray:
-    """Legacy dispatch: arrays pickled in, partial cube pickled back."""
-    ctx = _context_from_payload(payload, payload["images"])
-    out = np.zeros((payload["grid_n_bins"], ctx.n_rows, ctx.n_cols), dtype=np.float64)
-    depth_resolve_chunk_fused(ctx, out)
-    return out
-
-
-def _dispatch_mode(requested: Optional[str]) -> str:
-    """Resolve the dispatch mode: explicit argument beats the environment."""
-    mode = requested if requested is not None else os.environ.get(DISPATCH_ENV_VAR, "shm")
-    mode = str(mode).lower()
-    if mode not in _DISPATCH_MODES:
-        raise ValidationError(
-            f"unknown multiprocess dispatch {mode!r}; expected one of {_DISPATCH_MODES}"
-        )
-    return mode
-
-
 class MultiprocessExecutor(ChunkExecutor):
     """Row bands dispatched to the persistent pool, bounded chunks in flight."""
 
     name = "multiprocess"
 
-    def __init__(self, dispatch: Optional[str] = None):
-        self._dispatch = _dispatch_mode(dispatch)
+    def __init__(self):
         self._pool: Optional[WorkerPool] = None
         self._arena: Optional[SlabArena] = None
         self._pending: Deque[_Pending] = deque()
@@ -172,13 +158,8 @@ class MultiprocessExecutor(ChunkExecutor):
 
     # ------------------------------------------------------------------ #
     @property
-    def dispatch(self) -> str:
-        """Resolved dispatch mode ("shm" or "pickle")."""
-        return self._dispatch
-
-    @property
     def arena(self) -> Optional[SlabArena]:
-        """The run's slab arena (None before prepare / for pickle dispatch)."""
+        """The run's slab arena (None before prepare / for in-process runs)."""
         return self._arena
 
     # ------------------------------------------------------------------ #
@@ -209,7 +190,7 @@ class MultiprocessExecutor(ChunkExecutor):
             return build_execution_plan(
                 source, config, rows_per_chunk=min(band, bounded), strategy="multiprocess"
             )
-        bands = MultiprocessBackend._row_bands(source.n_rows, n_workers)
+        bands = _row_bands(source.n_rows, n_workers)
         rows_per_chunk = max(stop - start for start, stop in bands)
         chunk_plan = ChunkPlan(
             n_rows=source.n_rows,
@@ -242,11 +223,10 @@ class MultiprocessExecutor(ChunkExecutor):
             # batch mixing small and large files must keep hitting the same
             # pool, and a pool wider than one run's bands is harmless.
             self._pool = shared_pool(max(1, int(config.n_workers)))
-            if self._dispatch == "shm":
-                self._arena = SlabArena()
+            self._arena = SlabArena()
 
     # ------------------------------------------------------------------ #
-    def _submit_shm(self, ctx: KernelContext, row_start: int) -> _Pending:
+    def _submit(self, ctx: KernelContext, row_start: int) -> _Pending:
         """Lease slabs, copy the band in, and dispatch by shared-memory name."""
         out_shape = (self._config.grid.n_bins, ctx.n_rows, ctx.n_cols)
         in_shm = self._arena.lease(int(ctx.images.nbytes))
@@ -262,34 +242,24 @@ class MultiprocessExecutor(ChunkExecutor):
         future = self._pool.submit(_worker_reconstruct_rows, payload)
         return (row_start, future, (in_shm, out_shm, out_shape))
 
-    def _submit_pickle(self, ctx: KernelContext, row_start: int) -> _Pending:
-        """Legacy dispatch: the whole slab is pickled into the pool."""
-        payload = _kernel_payload(ctx, self._config)
-        payload["images"] = np.ascontiguousarray(ctx.images)
-        return (row_start, self._pool.submit(_worker_reconstruct_rows_pickled, payload), None)
-
     def _collect(self, entry: _Pending) -> Tuple[int, np.ndarray]:
         """Wait for one pending band; on failure cancel the rest and re-raise."""
         row_start, future, lease = entry
         try:
-            value = future.result()
+            future.result()
         except BaseException as exc:
             if isinstance(exc, BrokenExecutor) and self._pool is not None:
                 self._pool.mark_broken()  # next run respawns the shared pool
             self._cancel_pending()
             raise
-        if lease is None:
-            return row_start, value
         _in_shm, out_shm, out_shape = lease
         return row_start, np.ndarray(out_shape, dtype=np.float64, buffer=out_shm.buf)
 
     def _release(self, entry: _Pending) -> None:
         """Recycle a collected band's slabs (after the engine merged the view)."""
-        lease = entry[2]
-        if lease is not None and self._arena is not None:
-            in_shm, out_shm, _shape = lease
-            self._arena.release(in_shm)
-            self._arena.release(out_shm)
+        in_shm, out_shm, _shape = entry[2]
+        self._arena.release(in_shm)
+        self._arena.release(out_shm)
 
     def _cancel_pending(self) -> None:
         """Cancel every not-yet-running band instead of blocking on it.
@@ -313,10 +283,7 @@ class MultiprocessExecutor(ChunkExecutor):
             depth_resolve_chunk_fused(ctx, out)
             yield row_start, out
             return
-        if self._dispatch == "shm":
-            self._pending.append(self._submit_shm(ctx, row_start))
-        else:
-            self._pending.append(self._submit_pickle(ctx, row_start))
+        self._pending.append(self._submit(ctx, row_start))
         self.peak_inflight = max(self.peak_inflight, len(self._pending))
         # drain at >= so at most max_inflight chunks are ever resident (the
         # old > admitted max_inflight + 1 slabs)
@@ -351,39 +318,9 @@ class MultiprocessExecutor(ChunkExecutor):
         }
 
     def notes(self) -> List[str]:
-        mode = self._dispatch if self._n_workers > 1 else "in-process"
+        mode = "shm" if self._n_workers > 1 else "in-process"
         return [
             f"{self._n_workers} worker process(es), {self._n_bands} row band(s), "
             f"{mode} dispatch"
         ]
 
-
-@register_backend(
-    "multiprocess",
-    supports_streaming=True,
-    needs_workers=True,
-    description="detector rows partitioned across a persistent process pool (n_workers)",
-)
-class MultiprocessBackend(Backend):
-    """Row-partitioned reconstruction on the persistent shared process pool."""
-
-    name = "multiprocess"
-
-    def make_executor(self, config: ReconstructionConfig) -> ChunkExecutor:
-        return MultiprocessExecutor()
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _row_bands(n_rows: int, n_workers: int) -> List[Tuple[int, int]]:
-        """Split ``range(n_rows)`` into ``n_workers`` near-equal contiguous bands."""
-        base = n_rows // n_workers
-        extra = n_rows % n_workers
-        bands: List[Tuple[int, int]] = []
-        start = 0
-        for worker in range(n_workers):
-            size = base + (1 if worker < extra else 0)
-            if size == 0:
-                continue
-            bands.append((start, start + size))
-            start += size
-        return bands

@@ -1,4 +1,8 @@
-"""Threaded backend: detector row bands dispatched to a shared thread pool.
+"""Threaded executor: detector row bands dispatched to a shared thread pool.
+
+The ``threads`` strategy of the vectorized backend
+(``config.executor="threads"``, built by
+:func:`~repro.core.engine.make_strategy_executor`).
 
 The fused kernel (:func:`~repro.core.kernels.depth_resolve_chunk_fused`)
 spends its time inside NumPy ufunc loops, which release the GIL.  That makes
@@ -19,7 +23,7 @@ The pool is the persistent :func:`~repro.core.workerpool.shared_thread_pool`,
 reused across runs and files like the process pool; thread start-up is cheap
 but not free, and a long batch should not pay it per run.
 
-Like the multiprocess executor, a bounded number of bands is kept in flight
+Like the process-pool executor, a bounded number of bands is kept in flight
 so a streamed out-of-core run holds at most ``max_inflight`` band slabs in
 host memory regardless of how many chunks the plan has.
 """
@@ -32,7 +36,6 @@ from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.backends.base import Backend, register_backend
 from repro.core.chunking import plan_worker_bands
 from repro.core.config import ReconstructionConfig
 from repro.core.engine import (
@@ -44,7 +47,7 @@ from repro.core.engine import (
 from repro.core.kernels import KernelContext, depth_resolve_chunk_fused
 from repro.core.workerpool import ThreadPool, shared_thread_pool
 
-__all__ = ["ThreadedBackend", "ThreadedExecutor"]
+__all__ = ["ThreadedExecutor"]
 
 #: A pending band: (absolute row start, future resolving to its partial cube).
 _Pending = Tuple[int, Future]
@@ -187,17 +190,3 @@ class ThreadedExecutor(ChunkExecutor):
             f"{mode} fused dispatch"
         ]
 
-
-@register_backend(
-    "threaded",
-    supports_streaming=True,
-    needs_workers=True,
-    description="row bands on a shared GIL-releasing thread pool (n_workers)",
-)
-class ThreadedBackend(Backend):
-    """Row-banded fused reconstruction on the persistent shared thread pool."""
-
-    name = "threaded"
-
-    def make_executor(self, config: ReconstructionConfig) -> ChunkExecutor:
-        return ThreadedExecutor()

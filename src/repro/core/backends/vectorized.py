@@ -57,7 +57,8 @@ class VectorizedExecutor(ChunkExecutor):
 @register_backend(
     "vectorized",
     supports_streaming=True,
-    description="NumPy data-parallel execution on the host (default)",
+    description="fused NumPy kernel on the host (default); config.executor "
+    "runs it serial, on threads or on processes",
 )
 class VectorizedBackend(Backend):
     """NumPy data-parallel reconstruction on the host."""

@@ -23,6 +23,12 @@ AUTO = "auto"
 #: pick from a cached throughput probe.
 EXECUTOR_CHOICES = ("serial", "threads", "processes", AUTO)
 
+#: Retired backend names and the executor strategy each became.  Saved
+#: results, cache entries and serve job dicts written before the fold may
+#: still carry them; :meth:`ReconstructionConfig.from_dict` maps them onto
+#: the vectorized backend.
+_LEGACY_BACKEND_EXECUTORS = {"threaded": "threads", "multiprocess": "processes"}
+
 
 class DifferenceMode(enum.Enum):
     """How adjacent-image differences are turned into depth contributions.
@@ -60,8 +66,8 @@ class ReconstructionConfig:
         step falls below the cutoff cost no reconstruction work, which is
         what the paper's "pixel percentage" experiments vary.
     backend:
-        Execution backend name (``cpu_reference``, ``vectorized``,
-        ``gpusim``, ``multiprocess``).
+        Execution backend name (``cpu_reference``, ``vectorized`` or
+        ``gpusim``, or any registered plugin).
     layout:
         Device array layout for the gpusim backend (``flat1d`` or
         ``pointer3d``) — the Fig. 4 design choice.
@@ -73,15 +79,15 @@ class ReconstructionConfig:
         Optional override (bytes) of the simulated device memory, used to
         scale the 6 GB constraint down to laptop-sized problems.
     n_workers:
-        Worker count for the multiprocess/threaded backends and the
-        ``threads``/``processes`` executor strategies.  The string
-        ``"auto"`` asks the auto-tuner for a calibrated count (resolved by
-        the session before execution).
+        Worker count for the ``threads``/``processes`` executor strategies
+        (ignored by ``serial``).  The string ``"auto"`` asks the auto-tuner
+        for a calibrated count (resolved by the session before execution).
     executor:
-        Executor strategy for the vectorized backend's hot path: one of
-        ``serial`` (in the calling thread, the default), ``threads`` (row
-        bands on the shared GIL-releasing thread pool), ``processes``
-        (the persistent process pool) or ``auto`` (pick from the cached
+        Where the vectorized backend's kernel runs — the one switch for
+        host parallelism: ``serial`` (in the calling thread, the default),
+        ``threads`` (row bands on the shared GIL-releasing thread pool),
+        ``processes`` (row bands on the persistent process pool,
+        shared-memory dispatch) or ``auto`` (pick from the cached
         throughput probe of :mod:`repro.perf.autotune`).
     subtract_background:
         If true, a constant per-image background (the median of the whole
@@ -184,8 +190,15 @@ class ReconstructionConfig:
         Unknown keys are rejected (a provenance file from a newer version
         should fail loudly, not half-apply), and the full constructor
         validation — including the registry backend check — runs as usual.
+        The retired backend names ``threaded`` and ``multiprocess`` read as
+        the vectorized backend with ``executor="threads"`` / ``"processes"``,
+        so records written before those backends were folded still load.
         """
         data = dict(data)
+        backend = data.get("backend")
+        if isinstance(backend, str) and backend in _LEGACY_BACKEND_EXECUTORS:
+            data["backend"] = "vectorized"
+            data["executor"] = _LEGACY_BACKEND_EXECUTORS[backend]
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:

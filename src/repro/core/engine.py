@@ -23,7 +23,7 @@ the full histogram.  This module extracts that loop into one place:
     per-run setup/teardown, and the per-chunk compute that turns a
     :class:`~repro.core.kernels.KernelContext` into a partial
     ``(n_bins, chunk_rows, n_cols)`` cube.  Executors may complete chunks
-    asynchronously (the multiprocess executor keeps a bounded number of
+    asynchronously (the process-pool executor keeps a bounded number of
     chunks in flight) by yielding finished partials whenever they are ready
     and draining the rest at the end.
 
@@ -322,12 +322,11 @@ class ChunkExecutor(abc.ABC):
 def make_strategy_executor(config: ReconstructionConfig) -> "ChunkExecutor":
     """The :class:`ChunkExecutor` implementing ``config.executor``.
 
-    The executor-strategy axis is orthogonal to the backend axis: a backend
-    defines *what* the per-chunk compute is, the strategy defines *where* it
-    runs — ``serial`` in the calling thread, ``threads`` on the shared
-    GIL-releasing thread pool, ``processes`` on the persistent process pool.
-    The vectorized backend routes through here so ``config.executor``
-    selects among them without changing backends.
+    A backend defines *what* the per-chunk compute is; the strategy defines
+    *where* the vectorized backend's fused kernel runs — ``serial`` in the
+    calling thread, ``threads`` on the shared GIL-releasing thread pool,
+    ``processes`` on the persistent process pool.  This is the one place
+    host parallelism is chosen.
 
     An unresolved ``auto`` falls back to serial: the session resolves
     ``auto`` against the tuner cache *before* execution, so seeing it here

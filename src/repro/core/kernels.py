@@ -9,13 +9,15 @@ the device functions it calls.  Two equivalent forms are provided:
     (compute the four critical depths for the pixel's back/front edges at the
     two wire positions, build the trapezoid, distribute the differential
     intensity into the depth histogram).  The CPU-reference backend loops
-    over it; the GPU-sim backend can execute it per simulated thread to prove
-    equivalence with the vectorised form.
+    over it (:func:`depth_resolve_chunk_scalar`, the reference every other
+    path is checked against); the GPU-sim backend can execute it per
+    simulated thread to prove equivalence with the vectorised form.
 
-``depth_resolve_chunk_vectorized``
-    The data-parallel form used by the fast backends: the same mathematics
-    expressed as NumPy array operations over every active element of a row
-    chunk at once.
+``depth_resolve_chunk_fused``
+    The array kernel every host executor runs: the same mathematics
+    expressed as NumPy array operations over the active elements of a row
+    chunk, computing each row block's differences and distributing them in
+    one pass.  Bitwise identical to :func:`depth_resolve_chunk_scalar`.
 
 Both accumulate with atomic-add semantics into the ``(n_bins, rows, cols)``
 depth-resolved cube.
@@ -44,7 +46,6 @@ __all__ = [
     "KernelContext",
     "depth_resolve_element",
     "depth_resolve_chunk_scalar",
-    "depth_resolve_chunk_vectorized",
     "depth_resolve_chunk_fused",
     "FUSED_ROW_BLOCK_BYTES",
     "set_two_per_thread",
@@ -238,93 +239,6 @@ def depth_resolve_chunk_scalar(ctx: KernelContext, out: np.ndarray) -> float:
         for row in range(ctx.n_rows):
             for col in range(ctx.n_cols):
                 total += depth_resolve_element(ctx, col, row, step, out)
-    return total
-
-
-def depth_resolve_chunk_vectorized(
-    ctx: KernelContext,
-    out: np.ndarray,
-    element_batch: int = 16384,
-) -> float:
-    """Vectorised kernel over a whole row chunk.
-
-    Mathematically identical to looping :func:`depth_resolve_element` over
-    all elements; expressed as array operations so the only Python-level loop
-    is over batches of *active* elements (those passing the mask and cutoff).
-
-    Parameters
-    ----------
-    ctx:
-        Kernel inputs.
-    out:
-        Accumulation cube ``(n_bins, rows, cols)``; modified in place.
-    element_batch:
-        Number of active elements processed per internal batch — bounds the
-        ``(batch, n_bins)`` temporary exactly like a real kernel bounds its
-        shared-memory tile.
-    """
-    grid = ctx.grid
-    diffs = ctx.signed_differences()  # (n_steps, rows, cols)
-
-    # Critical depths depend on (step, row) only — compute them once for the
-    # whole chunk: shape (n_steps, rows).
-    edge = int(ctx.wire_edge)
-    back_y = ctx.back_edge_yz[:, 0][None, :]
-    back_z = ctx.back_edge_yz[:, 1][None, :]
-    front_y = ctx.front_edge_yz[:, 0][None, :]
-    front_z = ctx.front_edge_yz[:, 1][None, :]
-    wire_start_y = ctx.wire_positions_yz[:-1, 0][:, None]
-    wire_start_z = ctx.wire_positions_yz[:-1, 1][:, None]
-    wire_end_y = ctx.wire_positions_yz[1:, 0][:, None]
-    wire_end_z = ctx.wire_positions_yz[1:, 1][:, None]
-
-    partial_start = pixel_yz_to_depth(front_y, front_z, wire_start_y, wire_start_z, ctx.wire_radius, edge)
-    partial_end = pixel_yz_to_depth(back_y, back_z, wire_end_y, wire_end_z, ctx.wire_radius, edge)
-    full_start = pixel_yz_to_depth(back_y, back_z, wire_start_y, wire_start_z, ctx.wire_radius, edge)
-    full_end = pixel_yz_to_depth(front_y, front_z, wire_end_y, wire_end_z, ctx.wire_radius, edge)
-
-    corners = np.stack([partial_start, partial_end, full_start, full_end], axis=0)
-    corners_valid = np.all(np.isfinite(corners), axis=0)  # (n_steps, rows)
-    corners_sorted = np.sort(corners, axis=0)
-    d1, d2, d3, d4 = corners_sorted  # each (n_steps, rows)
-    area = trapezoid_area(d1, d2, d3, d4)
-
-    # A (step, row) pair can contribute only if its trapezoid overlaps the
-    # grid at all; combined with the per-element cutoff this gives the active
-    # element set.
-    pair_active = corners_valid & (area > MIN_TRAPEZOID_AREA) & (d4 > grid.start) & (d1 < grid.stop)
-
-    active = np.abs(diffs) > ctx.intensity_cutoff
-    active &= diffs != 0.0
-    if ctx.mask is not None:
-        active &= ctx.mask[None, :, :]
-    active &= pair_active[:, :, None]
-
-    step_idx, row_idx, col_idx = np.nonzero(active)
-    if step_idx.size == 0:
-        return 0.0
-
-    values = diffs[step_idx, row_idx, col_idx]
-    flat_out = out.reshape(-1)
-    plane = ctx.n_rows * ctx.n_cols
-    bin_offsets = np.arange(grid.n_bins, dtype=np.int64) * plane
-    total = 0.0
-
-    for start in range(0, step_idx.size, element_batch):
-        sl = slice(start, start + element_batch)
-        s_i, r_i, c_i = step_idx[sl], row_idx[sl], col_idx[sl]
-        weights = distribute_intensity(
-            grid,
-            values[sl],
-            d1[s_i, r_i],
-            d2[s_i, r_i],
-            d3[s_i, r_i],
-            d4[s_i, r_i],
-        )  # (batch, n_bins)
-        pixel_offset = r_i * ctx.n_cols + c_i
-        flat_indices = (pixel_offset[:, None] + bin_offsets[None, :]).reshape(-1)
-        atomic_add(flat_out, flat_indices, weights.reshape(-1))
-        total += float(weights.sum())
     return total
 
 

@@ -9,7 +9,7 @@ Three things live here:
   streamed files overlaps freely because each holds only one chunk slab),
   and :func:`run_batch_jobs` runs the items on a thread pool with order
   preserved.  Threads suffice on the host side because NumPy kernels and
-  file I/O release the GIL, and the multiprocess backend adds real
+  file I/O release the GIL, and ``executor="processes"`` adds real
   cross-process parallelism through the one persistent
   :func:`~repro.core.workerpool.shared_pool` all items reuse;
 * the batch *data model* (:class:`BatchItem`, :class:`BatchReport`) — the

@@ -761,8 +761,8 @@ class Session:
             glob, a directory, or a single source (a batch of one).
         max_workers:
             Concurrent reconstructions.  Thread-based: NumPy kernels and file
-            I/O release the GIL for long stretches, and the multiprocess
-            backend adds cross-process parallelism through the persistent
+            I/O release the GIL for long stretches, and ``executor="processes"``
+            adds cross-process parallelism through the persistent
             :func:`repro.pool` worker pool, which every item reuses — a
             batch pays process-pool start-up once, not once per file.
         output_dir:

@@ -19,7 +19,7 @@ This module owns the fixes for both:
     broken.
 
 :func:`shared_pool` / :func:`shutdown_shared_pool`
-    The session-wide pool every multiprocess run reuses.  Requesting a
+    The session-wide pool every ``executor="processes"`` run reuses.  Requesting a
     different worker count respawns it unless :func:`pool` has pinned it.
 
 :func:`pool`
@@ -30,7 +30,7 @@ This module owns the fixes for both:
 
 :class:`SlabArena`
     A pool of reusable ``multiprocessing.shared_memory`` segments.  The
-    multiprocess executor leases one input and one output slab per in-flight
+    process-pool executor leases one input and one output slab per in-flight
     chunk, workers map them by name (zero pickling of image or output
     cubes), and the arena recycles segments across chunks so a long streamed
     run allocates only ``O(max_inflight)`` segments.  ``close()`` unlinks
@@ -446,7 +446,7 @@ def _shared_pool_locked(n_workers: int, blas_threads: Optional[int] = 1) -> Work
 
 
 def shared_pool(n_workers: int, blas_threads: Optional[int] = 1) -> WorkerPool:
-    """The process pool every multiprocess run reuses.
+    """The process pool every ``executor="processes"`` run reuses.
 
     Created lazily on first request and kept alive across runs and files; a
     request for a *different* worker count (or BLAS pin) respawns it — unless
@@ -544,10 +544,10 @@ def pool(workers: Optional[int] = None, blas_threads: Optional[int] = 1):
 
         with repro.pool(4):
             for path in paths:
-                repro.session(grid=grid, backend="multiprocess").run(path)
+                repro.session(grid=grid, executor="processes").run(path)
 
     Entering spawns (and warms) the shared pool at *workers* processes and
-    pins it: every multiprocess run inside the block reuses it regardless of
+    pins it: every ``executor="processes"`` run inside the block reuses it regardless of
     its own ``n_workers``.  Exiting the outermost block shuts the pool down
     deterministically.  Outside any ``pool()`` block the engine still reuses
     a lazily created shared pool across runs; it is closed at interpreter

@@ -14,8 +14,8 @@ The benchmark harness is built from three layers:
   the paper's full data-set sizes so measured laptop-scale trends can be put
   side by side with paper-scale predictions;
 * :mod:`repro.perf.parallel` — the host-parallelism scaling suites
-  (worker-count curve, shm vs pickle dispatch, pool reuse, and the
-  executor-strategy matrix with the fused-kernel comparison) behind the
+  (process-pool worker-count curve, pool reuse, and the executor-strategy
+  matrix with its default-executor gate) behind the
   ``repro-bench`` CLI and the ``BENCH_*.json`` perf-trajectory artifacts;
 * :mod:`repro.perf.autotune` — the throughput microprobe that calibrates
   executor strategy and worker count per (machine, workload shape), cached

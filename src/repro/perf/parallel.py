@@ -3,22 +3,21 @@
 Three questions about the host-parallel layer, answered with wall-clock
 measurements on a synthetic workload:
 
-* **worker-count scaling** — how reconstruction time moves with
-  ``n_workers`` (on a single-core machine the curve is flat-to-rising; the
-  interesting signal there is the dispatch overhead, below);
-* **shm vs pickle dispatch** — zero-copy shared-memory slabs against the
-  legacy deep-copy-and-pickle path, measured per worker count on a warm
-  pool, so the difference is pure dispatch cost;
+* **worker-count scaling** — how reconstruction time on the process pool
+  (``executor="processes"``, zero-copy shared-memory dispatch) moves with
+  ``n_workers``, measured on a warm pool so process start-up never
+  pollutes the curve (on a single-core machine it is flat-to-rising);
 * **pool reuse vs cold start** — a pooled ``run_many`` over several files
   against the old lifecycle of spawning (and tearing down) a process pool
-  per file.
+  per file;
+* **executor scaling** — a serial / threads / processes × worker-count
+  matrix with the honesty gate for the default executor.
 
-:func:`run_parallel_scaling` produces one JSON-safe record;
-:func:`write_bench_record` persists it as ``BENCH_<issue>.json`` — the
-repository's perf-trajectory artifact, regenerated by ``repro-bench`` and
-the CI parallel-scaling smoke job.  The record's ``checks`` block carries
-the two pass/fail gates (shm beats pickle on multi-worker runs; pooled
-beats cold start).
+:func:`run_parallel_scaling` and :func:`run_executor_scaling` each produce
+one JSON-safe record; :func:`write_bench_record` persists it as
+``BENCH_<issue>.json`` — the repository's perf-trajectory artifact,
+regenerated by ``repro-bench`` and the CI parallel-scaling smoke job.  Each
+record's ``checks`` block carries its pass/fail gates.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import tempfile
 import time
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.backends.multiprocess import MultiprocessExecutor
 from repro.core.config import ReconstructionConfig
 from repro.core.engine import StackChunkSource, execute, make_strategy_executor
 from repro.core.workerpool import (
@@ -64,8 +62,8 @@ BENCH_ISSUE = 4
 #: Default artifact file name.
 DEFAULT_BENCH_FILENAME = f"BENCH_{BENCH_ISSUE}.json"
 
-#: Issue number of the executor-scaling artifact (fused kernels + executor
-#: strategies + auto-tuning).
+#: Issue number of the executor-scaling artifact (executor strategies +
+#: auto-tuning).
 EXECUTOR_BENCH_ISSUE = 6
 
 #: Executor-scaling artifact file name.
@@ -77,8 +75,8 @@ EXECUTOR_BENCH_FILENAME = f"BENCH_{EXECUTOR_BENCH_ISSUE}.json"
 #: and the artifact records why.
 SCALING_GATE_SPEEDUP = 2.0
 
-#: The "medium" synthetic workload: large enough that cube-sized pickling is
-#: clearly measurable, small enough for CI (≈ 24 MB image cube).
+#: The "medium" synthetic workload: large enough that dispatch and kernel
+#: time sit well above timer noise, small enough for CI (≈ 24 MB image cube).
 DEFAULT_SIZE_LABEL = "24MB"
 
 #: Default active-pixel fraction (the paper's Fig. 9 knob).  Dispatch cost
@@ -94,15 +92,9 @@ DEFAULT_PIXEL_FRACTION = 0.25
 DEFAULT_POOL_FILE_SIZE_LABEL = "6MB"
 
 
-def _best_of(fn, repeats: int) -> float:
-    """Best (minimum) wall time of *repeats* calls — robust to scheduler noise."""
-    best, _result = time_callable(fn, repeats=max(1, int(repeats)))
-    return best
-
-
-def _run_once(stack, config: ReconstructionConfig, dispatch: str) -> None:
-    """One engine execution with an explicit dispatch mode."""
-    execute(StackChunkSource(stack), config, MultiprocessExecutor(dispatch=dispatch))
+def _run_once(stack, config: ReconstructionConfig) -> None:
+    """One engine execution on *config*'s executor strategy."""
+    execute(StackChunkSource(stack), config, make_strategy_executor(config))
 
 
 # --------------------------------------------------------------------------- #
@@ -111,41 +103,25 @@ def measure_dispatch_scaling(
     workers: Sequence[int] = (1, 2, 4),
     repeats: int = 3,
 ) -> List[Dict]:
-    """Best-of-*repeats* seconds per (worker count, dispatch mode), warm pool.
+    """Best-of-*repeats* seconds per worker count on the process pool.
 
-    The pool is pre-warmed before each worker count so process start-up never
-    pollutes the dispatch comparison, both dispatch paths get a discarded
-    warm-up run, and the timed repeats *alternate* between the modes so any
-    machine-load drift lands on both sides equally.  ``n_workers == 1`` runs
-    in-process and reports the same time under both labels (no dispatch
-    happens).
+    The pool is pre-warmed before each worker count and every point gets a
+    discarded warm-up run, so process start-up never pollutes the curve.
+    ``n_workers == 1`` runs in-process (no dispatch happens).
     """
     rows: List[Dict] = []
     for n_workers in workers:
         config = ReconstructionConfig(
-            grid=workload.grid, backend="multiprocess", n_workers=int(n_workers)
+            grid=workload.grid, executor="processes", n_workers=int(n_workers)
         )
         if n_workers > 1:
             shared_pool(int(n_workers)).warm()
-        _run_once(workload.stack, config, "shm")  # warm caches and code paths
-        if n_workers > 1:
-            _run_once(workload.stack, config, "pickle")
-            shm_s, pickle_s = float("inf"), float("inf")
-            for _ in range(max(1, int(repeats))):
-                start = time.perf_counter()
-                _run_once(workload.stack, config, "shm")
-                shm_s = min(shm_s, time.perf_counter() - start)
-                start = time.perf_counter()
-                _run_once(workload.stack, config, "pickle")
-                pickle_s = min(pickle_s, time.perf_counter() - start)
-        else:
-            shm_s = _best_of(lambda: _run_once(workload.stack, config, "shm"), repeats)
-            pickle_s = shm_s
-        rows.append({"n_workers": int(n_workers), "shm_s": shm_s, "pickle_s": pickle_s})
-        _LOG.info(
-            "parallel-scaling: %d worker(s): shm %.4fs, pickle %.4fs",
-            n_workers, shm_s, pickle_s,
+        _run_once(workload.stack, config)  # warm caches and code paths
+        shm_s, _ = time_callable(
+            _run_once, workload.stack, config, repeats=max(1, int(repeats))
         )
+        rows.append({"n_workers": int(n_workers), "shm_s": shm_s})
+        _LOG.info("parallel-scaling: %d worker(s): shm %.4fs", n_workers, shm_s)
     shutdown_shared_pool()
     return rows
 
@@ -172,7 +148,7 @@ def measure_pool_reuse(
     if batch_workers is None:
         batch_workers = min(2, os.cpu_count() or 1)
 
-    sess = session(grid=grid, backend="multiprocess", n_workers=int(n_workers))
+    sess = session(grid=grid, executor="processes", n_workers=int(n_workers))
 
     # discarded warm-up: first-touch costs (file page cache, first-run code
     # paths) must not inflate whichever side is timed first
@@ -249,13 +225,7 @@ def run_parallel_scaling(
         os.makedirs(work_dir, exist_ok=True)
         pool_reuse = _measure_pool(work_dir)
 
-    multi = [row for row in scaling if row["n_workers"] >= 2]
     checks = {
-        # zero-copy dispatch must beat cube pickling where dispatch happens;
-        # gated on the aggregate over the >= 2-worker points so the verdict
-        # pools every timed sample instead of riding single-point noise
-        "shm_beats_pickle_multiworker": bool(multi)
-        and sum(row["shm_s"] for row in multi) < sum(row["pickle_s"] for row in multi),
         # one persistent pool must beat a cold pool per file
         "pooled_run_many_beats_cold_start": pool_reuse["pooled_s"] < pool_reuse["cold_start_s"],
     }
@@ -279,43 +249,6 @@ def run_parallel_scaling(
 
 
 # --------------------------------------------------------------------------- #
-def measure_fused_vs_unfused(workload, repeats: int = 3, warmup: int = 1) -> Dict:
-    """Median+IQR seconds for the fused single-pass kernel vs the two-pass one.
-
-    Both kernels see the identical chunk context covering the whole cube, so
-    the difference is purely the materialised ``signed_differences`` pass and
-    the extra memory traffic it implies.
-    """
-    import numpy as np
-
-    from repro.core.engine import build_chunk_context
-    from repro.core.kernels import depth_resolve_chunk_fused, depth_resolve_chunk_vectorized
-
-    source = StackChunkSource(workload.stack)
-    config = ReconstructionConfig(grid=workload.grid, backend="vectorized")
-    ctx = build_chunk_context(source, config, 0, source.n_rows)
-    out = np.zeros(
-        (workload.grid.n_bins, source.n_rows, source.n_cols), dtype=np.float64
-    )
-
-    def _run_unfused() -> None:
-        out[...] = 0.0
-        depth_resolve_chunk_vectorized(ctx, out)
-
-    def _run_fused() -> None:
-        out[...] = 0.0
-        depth_resolve_chunk_fused(ctx, out)
-
-    unfused = time_stats(_run_unfused, repeats=repeats, warmup=warmup)
-    fused = time_stats(_run_fused, repeats=repeats, warmup=warmup)
-    speedup = unfused["median_s"] / fused["median_s"] if fused["median_s"] > 0 else 0.0
-    _LOG.info(
-        "fused-vs-unfused: fused %.4fs vs unfused %.4fs (%.2fx)",
-        fused["median_s"], unfused["median_s"], speedup,
-    )
-    return {"fused": fused, "unfused": unfused, "fused_speedup": speedup}
-
-
 def measure_executor_matrix(
     workload,
     workers: Sequence[int] = (1, 2, 4),
@@ -396,11 +329,10 @@ def run_executor_scaling(
 ) -> Dict:
     """Run the executor-scaling suite and return the ``BENCH_6`` record.
 
-    Three measurements on the reference workload, with BLAS/OpenMP pinned to
+    Two measurements on the reference workload, with BLAS/OpenMP pinned to
     one thread so library-internal threading cannot masquerade as (or fight
     with) our own parallelism:
 
-    * fused single-pass kernel vs the two-pass unfused baseline;
     * a serial / threads / processes × worker-count matrix (median + IQR);
     * the auto-tuner's decision for this (machine, workload) pair.
 
@@ -420,7 +352,6 @@ def run_executor_scaling(
     workload = make_benchmark_workload(size_label, pixel_fraction=pixel_fraction, seed=seed)
     _LOG.info("executor-scaling workload: %s", workload.describe())
 
-    kernel = measure_fused_vs_unfused(workload, repeats=repeats)
     matrix = measure_executor_matrix(workload, workers=workers, repeats=repeats)
     gate = _gate_speedup(matrix, at_workers=max(workers))
 
@@ -446,8 +377,6 @@ def run_executor_scaling(
         # a failed gate without a recorded reason is a silent lie — CI
         # enforces this pair
         "fallback_reason_recorded": gate_passed or bool(serial_fallback_reason),
-        # the fused kernel must never lose to the two-pass baseline
-        "fused_not_slower": kernel["fused_speedup"] >= 0.95,
     }
     return {
         "benchmark": "executor_scaling",
@@ -467,7 +396,6 @@ def run_executor_scaling(
             "pixel_fraction": float(pixel_fraction),
         },
         "repeats": int(repeats),
-        "kernel": kernel,
         "matrix": matrix,
         "gate": gate,
         "default_executor": default_executor,
@@ -484,14 +412,11 @@ def format_executor_report(record: Dict) -> str:
     series: Dict[str, Dict[str, float]] = {}
     for row in record["matrix"]:
         series.setdefault(str(row["n_workers"]), {})[row["executor"]] = row["median_s"]
-    kernel = record["kernel"]
     lines = [
         f"executor scaling — workload {record['workload']['size_label']} "
         f"({record['workload']['nbytes'] / 1e6:.1f} MB cube), "
         f"median of {record['repeats']} (BLAS pinned to 1 thread)",
         format_series_table(series, x_label="workers"),
-        f"fused kernel {kernel['fused']['median_s']:.4f}s vs unfused "
-        f"{kernel['unfused']['median_s']:.4f}s ({kernel['fused_speedup']:.2f}x)",
         f"gate: {record['gate']['speedup']:.2f}x at {record['gate']['at_workers']} workers "
         f"(needs {SCALING_GATE_SPEEDUP:.1f}x) -> default executor: {record['default_executor']}",
     ]
@@ -523,7 +448,7 @@ def format_parallel_report(record: Dict) -> str:
     from repro.perf.reporting import format_series_table
 
     series = {
-        str(row["n_workers"]): {"shm": row["shm_s"], "pickle": row["pickle_s"]}
+        str(row["n_workers"]): {"shm": row["shm_s"]}
         for row in record["scaling"]
     }
     reuse = record["pool_reuse"]

@@ -107,13 +107,12 @@ def format_backend_table(infos) -> str:
     One row per :class:`~repro.core.registry.BackendInfo` with its capability
     flags, defining module and description.
     """
-    header = f"{'backend':<16s}{'streaming':>10s}{'workers':>9s}  {'module':<36s}description"
+    header = f"{'backend':<16s}{'streaming':>10s}  {'module':<36s}description"
     lines = [header, "-" * max(len(header), 72)]
     for info in infos:
         lines.append(
             f"{info.name:<16s}"
             f"{'yes' if info.supports_streaming else 'no':>10s}"
-            f"{'yes' if info.needs_workers else 'no':>9s}"
             f"  {info.module:<36s}{info.description}"
         )
     lines.append("-" * max(len(header), 72))

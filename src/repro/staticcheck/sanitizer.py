@@ -36,6 +36,7 @@ precedes sharing, the same exemption the static rules grant.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import threading
 from dataclasses import dataclass, field
@@ -67,6 +68,25 @@ _READY = "_race_sanitizer_ready"
 def enabled() -> bool:
     """``True`` when the sanitizer lane is switched on via the environment."""
     return os.environ.get(ENV_FLAG, "") == "1"
+
+
+# --------------------------------------------------------------------------- #
+# thread identity
+_TOKENS = itertools.count(1)
+_TOKEN_SLOT = threading.local()
+
+
+def _thread_token() -> int:
+    """A token for the calling thread that no other thread ever gets.
+
+    ``threading.get_ident()`` is recycled as soon as a thread exits, so two
+    short-lived threads running one after the other can share it — and an
+    unlocked write from each would look like one thread's writes.
+    """
+    token = getattr(_TOKEN_SLOT, "token", None)
+    if token is None:
+        token = _TOKEN_SLOT.token = next(_TOKENS)
+    return token
 
 
 # --------------------------------------------------------------------------- #
@@ -106,11 +126,11 @@ class RaceRecorder:
                locked: bool) -> None:
         if locked:
             return
-        ident = threading.get_ident()
+        token = _thread_token()
         key = (class_name, field_name, instance_id)
         with self._lock:
             log = self._unlocked.setdefault(key, _WriteLog())
-            log.threads.add(ident)
+            log.threads.add(token)
             log.n_writes += 1
 
     def drain(self) -> List[RaceViolation]:
@@ -162,7 +182,7 @@ class TrackedLock:
     def acquire(self, *args, **kwargs) -> bool:
         got = self._inner.acquire(*args, **kwargs)
         if got:
-            self._owner = threading.get_ident()
+            self._owner = _thread_token()
             self._depth += 1
         return got
 
@@ -186,7 +206,7 @@ class TrackedLock:
         )
 
     def held_by_me(self) -> bool:
-        return self._owner == threading.get_ident()
+        return self._owner == _thread_token()
 
 
 class TrackedDict(dict):

@@ -17,3 +17,15 @@ def make_tiny_stack(n_rows: int = 3, n_cols: int = 2, n_positions: int = 9) -> W
     images = np.zeros((n_positions, n_rows, n_cols))
     images += np.linspace(10.0, 0.0, n_positions)[:, None, None]
     return WireScanStack(images=images, scan=scan, detector=detector, beam=Beam())
+
+
+#: Every way the package can run a reconstruction, keyed by the name its
+#: report carries (``report.backend`` is the executor's name): the three
+#: backends, plus the vectorized backend on its two parallel executors.
+RUN_MODES = {
+    "cpu_reference": {"backend": "cpu_reference"},
+    "vectorized": {"backend": "vectorized"},
+    "gpusim": {"backend": "gpusim"},
+    "multiprocess": {"backend": "vectorized", "executor": "processes"},
+    "threaded": {"backend": "vectorized", "executor": "threads"},
+}

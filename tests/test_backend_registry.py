@@ -31,7 +31,7 @@ from repro.geometry.wire import WireEdge
 from repro.utils.validation import ValidationError
 from tests.helpers import make_tiny_stack
 
-ALL_BACKENDS = ("cpu_reference", "vectorized", "gpusim", "multiprocess")
+ALL_BACKENDS = ("cpu_reference", "vectorized", "gpusim")
 
 
 class _ToyExecutor(VectorizedExecutor):
@@ -44,7 +44,7 @@ class _ToyExecutor(VectorizedExecutor):
 def toy_backend():
     """Register a toy out-of-tree backend for the duration of one test."""
 
-    @register_backend("toy", supports_streaming=True, needs_workers=False,
+    @register_backend("toy", supports_streaming=True,
                       description="out-of-tree test backend")
     class ToyBackend(Backend):
         def make_executor(self, config):
@@ -65,8 +65,7 @@ class TestRegistry:
             assert info.supports_streaming is True
             assert info.module.startswith("repro.core.backends.")
             assert info.description
-        assert backend_info("multiprocess").needs_workers is True
-        assert backend_info("vectorized").needs_workers is False
+            assert info.capabilities() == {"supports_streaming": True}
 
     def test_backends_listing_sorted(self):
         infos = backends()
@@ -171,11 +170,12 @@ class TestConfigRoundTrip:
             wire_edge=WireEdge.TRAILING,
             difference_mode=DifferenceMode.RECTIFIED,
             intensity_cutoff=0.75,
-            backend="multiprocess",
+            backend="vectorized",
             layout="pointer3d",
             rows_per_chunk=3,
             device_memory_limit=1 << 20,
             n_workers=5,
+            executor="processes",
             subtract_background=True,
             streaming=True,
         )
@@ -214,6 +214,30 @@ class TestConfigRoundTrip:
     def test_from_dict_requires_grid(self):
         with pytest.raises(ValidationError, match="grid"):
             ReconstructionConfig.from_dict({"backend": "vectorized"})
+
+    @pytest.mark.parametrize(
+        "legacy,executor", [("threaded", "threads"), ("multiprocess", "processes")]
+    )
+    def test_retired_backend_names_still_load(self, legacy, executor, depth_grid, tmp_path):
+        """Configs and saved runs that name a retired backend read as the
+        vectorized backend on the matching executor; new configs reject it."""
+        import repro
+        from repro.io.image_stack import save_depth_resolved
+
+        run = session(grid=depth_grid).run(make_tiny_stack(n_rows=4, n_cols=3, n_positions=11))
+        record = run._run_record()
+        record["config"]["backend"] = legacy  # executor stays "serial", as written then
+        expected = run.config.with_overrides(executor=executor)
+        assert ReconstructionConfig.from_dict(record["config"]) == expected
+
+        path = tmp_path / f"{legacy}.h5lite"
+        save_depth_resolved(path, run.result, run_record=record)
+        loaded = repro.load(path)
+        assert loaded.config == expected
+        assert loaded.result.data.tobytes() == run.result.data.tobytes()
+
+        with pytest.raises(ValidationError, match="unknown backend"):
+            ReconstructionConfig(grid=depth_grid, backend=legacy)
 
     def test_from_dict_validates_backend_via_registry(self, depth_grid):
         data = ReconstructionConfig(grid=depth_grid).to_dict()

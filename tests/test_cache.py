@@ -35,6 +35,7 @@ from repro.core.depth_grid import DepthGrid
 from repro.io.image_stack import save_wire_scan
 from repro.synthetic.workloads import make_point_source_stack
 from repro.utils.validation import ValidationError
+from tests.helpers import RUN_MODES
 
 
 @pytest.fixture()
@@ -72,7 +73,7 @@ def _bump_mtime(path):
 class TestHitIdentity:
     @pytest.mark.parametrize("backend", ["cpu_reference", "vectorized", "gpusim", "multiprocess"])
     def test_hit_bitwise_identical_on_every_backend(self, backend, cache_root, small_stack, grid):
-        sess = repro.session(grid=grid, backend=backend).cached(cache_root)
+        sess = repro.session(grid=grid, **RUN_MODES[backend]).cached(cache_root)
         cold = sess.run(small_stack)
         assert cold.cache_stats is not None and not cold.cache_stats.hit
         warm = sess.run(small_stack)

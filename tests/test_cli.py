@@ -121,16 +121,15 @@ class TestBackendsCli:
     def test_table_lists_builtins_and_capabilities(self, capsys):
         assert main_backends([]) == 0
         out = capsys.readouterr().out
-        for name in ("cpu_reference", "vectorized", "gpusim", "multiprocess"):
+        for name in ("cpu_reference", "vectorized", "gpusim"):
             assert name in out
-        assert "streaming" in out and "workers" in out
-        assert "4 backend(s) registered" in out or "backend(s) registered" in out
+        assert "streaming" in out
+        assert "3 backend(s) registered" in out
 
     def test_json_payload(self, capsys):
         assert main_backends(["--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         by_name = {entry["name"]: entry for entry in payload}
-        assert by_name["multiprocess"]["needs_workers"] is True
         assert by_name["gpusim"]["supports_streaming"] is True
         assert by_name["vectorized"]["module"] == "repro.core.backends.vectorized"
 
@@ -301,13 +300,10 @@ class TestBench:
         record = json.loads(out.read_text())
         assert record["benchmark"] == "parallel_scaling"
         assert {row["n_workers"] for row in record["scaling"]} == {1, 2}
-        assert all(row["shm_s"] > 0 and row["pickle_s"] > 0 for row in record["scaling"])
+        assert all(row["shm_s"] > 0 for row in record["scaling"])
         reuse = record["pool_reuse"]
         assert reuse["n_files"] == 2 and reuse["pooled_pool_spawns"] == 1
-        assert set(record["checks"]) == {
-            "shm_beats_pickle_multiworker",
-            "pooled_run_many_beats_cold_start",
-        }
+        assert set(record["checks"]) == {"pooled_run_many_beats_cold_start"}
         output = capsys.readouterr().out
         assert "workers" in output and f"wrote {out}" in output
 
@@ -323,7 +319,7 @@ class TestBench:
         assert record["benchmark"] == "executor_scaling"
         cells = {(row["executor"], row["n_workers"]) for row in record["matrix"]}
         assert ("serial", 1) in cells and ("threads", 2) in cells
-        assert record["kernel"]["fused"]["median_s"] > 0
+        assert set(record["checks"]) == {"two_x_at_4_workers", "fallback_reason_recorded"}
         # the honesty pair: either the gate passed or the reason is recorded
         assert record["checks"]["two_x_at_4_workers"] or record["serial_fallback_reason"]
         output = capsys.readouterr().out

@@ -5,20 +5,21 @@ import pytest
 
 from repro.core.backends import available_backends, get_backend, register_backend
 from repro.core.backends.base import Backend, build_kernel_context
-from repro.core.backends.multiprocess import MultiprocessBackend
+from repro.core.backends.multiprocess import _row_bands
 from repro.core.config import ReconstructionConfig
 from repro.core.depth_grid import DepthGrid
 from repro.cudasim.device import Device, GENERIC_LAPTOP_GPU
 from repro.utils.validation import ValidationError
+from tests.helpers import RUN_MODES
 
-ALL_BACKENDS = ("cpu_reference", "vectorized", "gpusim", "multiprocess")
+ALL_BACKENDS = ("cpu_reference", "vectorized", "gpusim")
 
 
 class TestRegistry:
     def test_all_expected_backends_registered(self):
-        names = available_backends()
-        for name in ALL_BACKENDS:
-            assert name in names
+        # exactly these: host parallelism is the vectorized backend's
+        # executor axis, not a backend of its own
+        assert available_backends() == sorted(ALL_BACKENDS)
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValidationError):
@@ -44,8 +45,8 @@ class TestBackendEquivalence:
     @pytest.mark.parametrize("backend_name", ["vectorized", "gpusim", "multiprocess"])
     def test_backend_matches_reference(self, backend_name, point_source_stack, default_config, reference_result):
         stack, _ = point_source_stack
-        config = default_config.with_backend(backend_name)
-        result, report = get_backend(backend_name).reconstruct(stack, config)
+        config = default_config.with_overrides(**RUN_MODES[backend_name])
+        result, report = get_backend(config.backend).reconstruct(stack, config)
         np.testing.assert_allclose(result.data, reference_result.data, rtol=1e-8, atol=1e-10)
         assert report.backend == backend_name
         assert report.wall_time >= 0
@@ -76,8 +77,9 @@ class TestBackendEquivalence:
 
     def test_multiprocess_worker_counts_agree(self, point_source_stack, default_config):
         stack, _ = point_source_stack
-        one, _ = get_backend("multiprocess").reconstruct(stack, default_config.with_backend("multiprocess", n_workers=1))
-        three, _ = get_backend("multiprocess").reconstruct(stack, default_config.with_backend("multiprocess", n_workers=3))
+        processes = default_config.with_backend("vectorized", executor="processes")
+        one, _ = get_backend("vectorized").reconstruct(stack, processes.with_overrides(n_workers=1))
+        three, _ = get_backend("vectorized").reconstruct(stack, processes.with_overrides(n_workers=3))
         np.testing.assert_allclose(one.data, three.data, rtol=1e-12, atol=1e-14)
 
 
@@ -145,11 +147,11 @@ class TestBackendHelpers:
         )
 
     def test_row_bands_partition(self):
-        bands = MultiprocessBackend._row_bands(10, 3)
+        bands = _row_bands(10, 3)
         assert bands == [(0, 4), (4, 7), (7, 10)]
         covered = [r for start, stop in bands for r in range(start, stop)]
         assert covered == list(range(10))
 
     def test_row_bands_more_workers_than_rows(self):
-        bands = MultiprocessBackend._row_bands(2, 5)
+        bands = _row_bands(2, 5)
         assert bands == [(0, 1), (1, 2)]

@@ -6,8 +6,8 @@ import pytest
 from repro.core.backends.base import build_kernel_context
 from repro.core.config import DifferenceMode, ReconstructionConfig
 from repro.core.kernels import (
+    depth_resolve_chunk_fused,
     depth_resolve_chunk_scalar,
-    depth_resolve_chunk_vectorized,
     depth_resolve_element,
     make_set_two_kernel,
     set_two_vectorized,
@@ -49,19 +49,21 @@ class TestKernelContext:
 
 
 class TestScalarVsVectorized:
+    """The array kernel (``depth_resolve_chunk_fused``) against the scalar loop."""
+
     def test_chunk_scalar_equals_vectorized(self, context_and_grid):
         ctx, grid = context_and_grid
         out_scalar = np.zeros((grid.n_bins, ctx.n_rows, ctx.n_cols))
         out_vector = np.zeros_like(out_scalar)
         total_scalar = depth_resolve_chunk_scalar(ctx, out_scalar)
-        total_vector = depth_resolve_chunk_vectorized(ctx, out_vector)
+        total_vector = depth_resolve_chunk_fused(ctx, out_vector)
         np.testing.assert_allclose(out_vector, out_scalar, rtol=1e-9, atol=1e-12)
         assert np.isclose(total_scalar, total_vector, rtol=1e-9)
 
     def test_set_two_vectorized_equals_chunk(self, context_and_grid):
         ctx, grid = context_and_grid
         out_chunk = np.zeros((grid.n_bins, ctx.n_rows, ctx.n_cols))
-        depth_resolve_chunk_vectorized(ctx, out_chunk)
+        depth_resolve_chunk_fused(ctx, out_chunk)
 
         out_threads = np.zeros_like(out_chunk)
         cfg = LaunchConfig.for_volume((ctx.n_cols, ctx.n_rows, ctx.n_steps), block_dim=(4, 2, 4))
@@ -73,8 +75,8 @@ class TestScalarVsVectorized:
         ctx, grid = context_and_grid
         big = np.zeros((grid.n_bins, ctx.n_rows, ctx.n_cols))
         small = np.zeros_like(big)
-        depth_resolve_chunk_vectorized(ctx, big, element_batch=1 << 20)
-        depth_resolve_chunk_vectorized(ctx, small, element_batch=7)
+        depth_resolve_chunk_fused(ctx, big, element_batch=1 << 20)
+        depth_resolve_chunk_fused(ctx, small, element_batch=7)
         np.testing.assert_allclose(small, big, rtol=1e-12, atol=1e-14)
 
 
@@ -83,14 +85,14 @@ class TestElementBehaviour:
         ctx, grid = context_and_grid
         ctx.mask = np.zeros((ctx.n_rows, ctx.n_cols), dtype=bool)
         out = np.zeros((grid.n_bins, ctx.n_rows, ctx.n_cols))
-        assert depth_resolve_chunk_vectorized(ctx, out) == 0.0
+        assert depth_resolve_chunk_fused(ctx, out) == 0.0
         assert out.sum() == 0.0
 
     def test_cutoff_removes_small_differences(self, context_and_grid):
         ctx, grid = context_and_grid
         ctx.intensity_cutoff = 1e12  # absurdly high
         out = np.zeros((grid.n_bins, ctx.n_rows, ctx.n_cols))
-        assert depth_resolve_chunk_vectorized(ctx, out) == 0.0
+        assert depth_resolve_chunk_fused(ctx, out) == 0.0
 
     def test_single_element_deposit_is_conserving(self, context_and_grid):
         ctx, grid = context_and_grid
@@ -104,7 +106,7 @@ class TestElementBehaviour:
     def test_total_deposit_bounded_by_total_signal(self, context_and_grid):
         ctx, grid = context_and_grid
         out = np.zeros((grid.n_bins, ctx.n_rows, ctx.n_cols))
-        total = depth_resolve_chunk_vectorized(ctx, out)
+        total = depth_resolve_chunk_fused(ctx, out)
         assert total <= np.abs(ctx.signed_differences()).sum() + 1e-9
 
     def test_deposits_land_in_correct_pixel_column(self, context_and_grid):
@@ -114,7 +116,7 @@ class TestElementBehaviour:
         mask = np.zeros((ctx.n_rows, ctx.n_cols), dtype=bool)
         mask[2, 3] = True
         ctx.mask = mask
-        depth_resolve_chunk_vectorized(ctx, out)
+        depth_resolve_chunk_fused(ctx, out)
         others = out.copy()
         others[:, 2, 3] = 0.0
         assert others.sum() == 0.0

@@ -37,8 +37,9 @@ from repro.io.image_stack import (
 )
 from repro.io.streaming import StreamingWireScanSource
 from repro.utils.validation import ValidationError
-from tests.helpers import make_tiny_stack
+from tests.helpers import RUN_MODES, make_tiny_stack
 
+#: run modes (``RUN_MODES`` keys): every backend plus the process-pool executor
 ALL_BACKENDS = ("cpu_reference", "vectorized", "gpusim", "multiprocess")
 
 
@@ -70,9 +71,9 @@ class TestStreamedEqualsInMemory:
         save_wire_scan(path, stack)
         config = ReconstructionConfig(
             grid=DepthGrid.from_range(0.0, 100.0, 20),
-            backend=backend,
             rows_per_chunk=rows_per_chunk,
             subtract_background=True,
+            **RUN_MODES[backend],
         )
         in_memory = session(config=config).run(str(path))
         streamed = session(config=config.with_overrides(streaming=True)).run(str(path))
@@ -108,15 +109,15 @@ class TestStreamedEqualsInMemory:
         np.testing.assert_array_equal(streamed.result.data, reference.data)
 
     def test_streamed_background_matches_every_backend(self, scan_file):
-        """With subtract_background on, all four backends agree bit-for-bit
+        """With subtract_background on, every run mode agrees bit-for-bit
         (the old per-chunk median made gpusim/multiprocess diverge)."""
         path, _stack = scan_file
         grid = DepthGrid.from_range(0.0, 100.0, 18)
         results = {}
         for backend in ALL_BACKENDS:
             config = ReconstructionConfig(
-                grid=grid, backend=backend, rows_per_chunk=2,
-                subtract_background=True, streaming=True,
+                grid=grid, rows_per_chunk=2, subtract_background=True,
+                streaming=True, **RUN_MODES[backend],
             )
             results[backend] = session(config=config).run(path).result.data
         reference = results["cpu_reference"]
@@ -146,12 +147,12 @@ class TestOutOfCore:
         path, stack = scan_file
         monkeypatch.setattr(engine_module, "STREAMING_CHUNK_BYTES", 4_000)
         config = ReconstructionConfig(grid=DepthGrid.from_range(0.0, 100.0, 20))
-        for backend in ("vectorized", "multiprocess"):
+        for executor in ("serial", "processes"):
             source = StreamingWireScanSource(path)
-            result, report = execute_backend(source, config.with_backend(backend))
+            result, report = execute_backend(source, config.with_overrides(executor=executor))
             assert report.n_chunks > 1
             assert source.accounting()["max_resident_rows"] < stack.n_rows
-            reference = session(config=config.with_backend(backend)).run(path)
+            reference = session(config=config.with_overrides(executor=executor)).run(path)
             np.testing.assert_array_equal(result.data, reference.result.data)
 
     def test_streaming_source_geometry_matches_file(self, scan_file):
@@ -197,8 +198,8 @@ class TestEngine:
         path, stack = scan_file
         grid = DepthGrid.from_range(0.0, 100.0, 12)
         for backend in ALL_BACKENDS:
-            config = ReconstructionConfig(grid=grid, backend=backend, rows_per_chunk=3)
-            _, report = get_backend(backend).reconstruct(stack, config)
+            config = ReconstructionConfig(grid=grid, rows_per_chunk=3, **RUN_MODES[backend])
+            _, report = get_backend(config.backend).reconstruct(stack, config)
             assert any(note.startswith("plan[") for note in report.notes), backend
             assert report.n_chunks == 3  # ceil(7 / 3): identical chunking everywhere
 
@@ -258,8 +259,8 @@ class TestEngine:
         for _name, run in results.items():
             assert any("compare_backends shared plan:" in note for note in run.report.notes)
         # without a fixed chunk size the note must not claim shared chunking
-        loose = session(grid=DepthGrid.from_range(0.0, 100.0, 10))
-        results = loose.compare(stack, ["vectorized", "multiprocess"])
+        loose = session(grid=DepthGrid.from_range(0.0, 100.0, 10), executor="processes")
+        results = loose.compare(stack, ["vectorized", "cpu_reference"])
         for _name, run in results.items():
             (note,) = [n for n in run.report.notes if "compare_backends" in n]
             assert "reference plan" in note and "may chunk differently" in note
@@ -282,7 +283,8 @@ def _kill_worker(payload):  # pragma: no cover - runs (briefly) in a child proce
 
 
 class TestMultiprocessParallel:
-    """Shared-memory dispatch, in-flight bounds, and crash hygiene."""
+    """The ``processes`` executor: shared-memory dispatch, in-flight bounds,
+    and crash hygiene."""
 
     @pytest.fixture(autouse=True)
     def _fresh_pool(self):
@@ -293,21 +295,20 @@ class TestMultiprocessParallel:
     def _config(self, **overrides):
         base = {
             "grid": DepthGrid.from_range(0.0, 100.0, 14),
-            "backend": "multiprocess",
+            "executor": "processes",
             "n_workers": 2,
         }
         base.update(overrides)
         return ReconstructionConfig(**base)
 
     def test_streamed_shm_dispatch_stays_one_chunk_resident(self, scan_file):
-        """Satellite: under shm dispatch a streamed run still holds only one
-        chunk slab from the file, and matches the in-memory run bitwise."""
+        """A streamed run on the process pool still holds only one chunk
+        slab from the file, and matches the in-memory run bitwise."""
         path, _stack = scan_file
         config = self._config(rows_per_chunk=2, streaming=True)
         source = StreamingWireScanSource(path)
-        executor = MultiprocessExecutor(dispatch="shm")
+        executor = MultiprocessExecutor()
         result, report = engine_execute(source, config, executor)
-        assert executor.dispatch == "shm"
         assert source.accounting()["max_resident_rows"] == 2
         assert report.n_chunks == 4  # ceil(7 / 2)
         in_memory = session(config=config.with_overrides(streaming=False)).run(path)
@@ -318,7 +319,7 @@ class TestMultiprocessParallel:
         (the old `>` admitted max_inflight + 1)."""
         stack = _noisy_stack(n_rows=12, seed=3)
         config = self._config(rows_per_chunk=1)
-        executor = MultiprocessExecutor(dispatch="shm")
+        executor = MultiprocessExecutor()
         result, report = engine_execute(StackChunkSource(stack), config, executor)
         assert report.n_chunks == 12
         assert executor._max_inflight == 4  # 2 * n_workers
@@ -330,7 +331,7 @@ class TestMultiprocessParallel:
     def test_shm_segments_unlinked_after_close(self):
         """Satellite: no /dev/shm entry survives a completed run."""
         stack = _noisy_stack(seed=7)
-        executor = MultiprocessExecutor(dispatch="shm")
+        executor = MultiprocessExecutor()
         engine_execute(StackChunkSource(stack), self._config(), executor)
         arena = executor.arena
         assert arena is not None and arena.closed
@@ -357,7 +358,7 @@ class TestMultiprocessParallel:
 
         stack = _noisy_stack(n_rows=10, seed=9)
         source = ExplodingSource(stack, fail_at=5)
-        executor = MultiprocessExecutor(dispatch="shm")
+        executor = MultiprocessExecutor()
         with pytest.raises(RuntimeError, match="disk died"):
             engine_execute(source, self._config(rows_per_chunk=1), executor)
         assert not executor._pending  # nothing left pending after the failure
@@ -375,7 +376,7 @@ class TestMultiprocessParallel:
         monkeypatch.setattr(
             "repro.core.backends.multiprocess._worker_reconstruct_rows", _kill_worker
         )
-        executor = MultiprocessExecutor(dispatch="shm")
+        executor = MultiprocessExecutor()
         with pytest.raises(BrokenExecutor):
             engine_execute(StackChunkSource(stack), config, executor)
         assert executor.arena is not None and executor.arena.closed
@@ -385,7 +386,7 @@ class TestMultiprocessParallel:
         monkeypatch.undo()
         # the crash marked the shared pool broken; the next run respawns it
         recovered = session(config=config).run(stack)
-        reference = session(config=config.with_backend("vectorized")).run(stack)
+        reference = session(config=config.with_overrides(executor="serial")).run(stack)
         np.testing.assert_array_equal(recovered.result.data, reference.result.data)
 
     @pytest.mark.parametrize("streaming", [False, True])
@@ -403,7 +404,7 @@ class TestMultiprocessParallel:
         assert batch.n_ok == 2
         for path, item in zip(paths, batch.items):
             reference = session(
-                config=config.with_backend("vectorized", streaming=False)
+                config=config.with_overrides(executor="serial", streaming=False)
             ).run(path)
             np.testing.assert_array_equal(item.result.data, reference.result.data)
 

@@ -1,13 +1,13 @@
 """Property-style equivalence tests for the fused single-pass kernel.
 
-The fused kernel (``depth_resolve_chunk_fused``) replaces the two-pass
-vectorised path — materialise ``signed_differences()``, then distribute — and
-its load-bearing contract is **bitwise identity** with the scalar reference
-loop: same per-bin weights in the same operation order, same accumulation
-order into every output slot, results independent of the ``row_block`` /
-``element_batch`` temporaries.  These tests pin that contract across odd
-shapes, degenerate trapezoids, masks, cutoffs, both wire edges, both
-difference modes, and every registered backend (chunked and streamed).
+The fused kernel (``depth_resolve_chunk_fused``) is the array kernel every
+host executor runs, and its load-bearing contract is **bitwise identity**
+with the scalar reference loop: same per-bin weights in the same operation
+order, same accumulation order into every output slot, results independent
+of the ``row_block`` / ``element_batch`` temporaries.  These tests pin that
+contract across odd shapes, degenerate trapezoids, masks, cutoffs, both wire
+edges, both difference modes, and every host backend and executor (chunked
+and streamed).
 """
 
 import numpy as np
@@ -17,18 +17,14 @@ from repro.core.backends import get_backend
 from repro.core.backends.base import build_kernel_context
 from repro.core.config import DifferenceMode, ReconstructionConfig
 from repro.core.depth_grid import DepthGrid
-from repro.core.kernels import (
-    depth_resolve_chunk_fused,
-    depth_resolve_chunk_scalar,
-    depth_resolve_chunk_vectorized,
-)
+from repro.core.kernels import depth_resolve_chunk_fused, depth_resolve_chunk_scalar
 from repro.core.workerpool import shutdown_shared_pool, shutdown_shared_thread_pool
 from repro.geometry.wire import WireEdge
 from repro.io.image_stack import save_wire_scan
 from repro.synthetic.workloads import make_point_source_stack
-from tests.helpers import make_tiny_stack
+from tests.helpers import RUN_MODES, make_tiny_stack
 
-#: Backends whose output must be bitwise identical to the scalar reference.
+#: Run modes whose output must be bitwise identical to the scalar reference.
 EXACT_BACKENDS = ("cpu_reference", "vectorized", "multiprocess", "threaded")
 
 
@@ -129,17 +125,6 @@ class TestFusedVsScalar:
                 f"element_batch={element_batch}"
             )
 
-    def test_fused_matches_unfused_vectorized(self):
-        """The retired two-pass kernel agrees too (allclose: op order differs)."""
-        stack = _noisy_stack(masked=True)
-        ctx = _context(stack)
-        shape = (ctx.grid.n_bins, ctx.n_rows, ctx.n_cols)
-        out_fused = np.zeros(shape)
-        out_unfused = np.zeros(shape)
-        depth_resolve_chunk_fused(ctx, out_fused)
-        depth_resolve_chunk_vectorized(ctx, out_unfused)
-        np.testing.assert_allclose(out_unfused, out_fused, rtol=1e-12, atol=1e-15)
-
 
 class TestBackendsBitwise:
     @pytest.fixture(scope="class")
@@ -153,8 +138,8 @@ class TestBackendsBitwise:
     @pytest.mark.parametrize("backend_name", EXACT_BACKENDS[1:])
     def test_backend_bitwise_identical(self, reference_run, backend_name):
         stack, grid, reference = reference_run
-        config = ReconstructionConfig(grid=grid, backend=backend_name, n_workers=2)
-        result, _report = get_backend(backend_name).reconstruct(stack, config)
+        config = ReconstructionConfig(grid=grid, n_workers=2, **RUN_MODES[backend_name])
+        result, _report = get_backend(config.backend).reconstruct(stack, config)
         assert np.array_equal(reference.data, result.data)
         shutdown_shared_pool()
         shutdown_shared_thread_pool()
@@ -163,9 +148,9 @@ class TestBackendsBitwise:
     def test_backend_bitwise_identical_chunked(self, reference_run, backend_name):
         stack, grid, reference = reference_run
         config = ReconstructionConfig(
-            grid=grid, backend=backend_name, n_workers=2, rows_per_chunk=2
+            grid=grid, n_workers=2, rows_per_chunk=2, **RUN_MODES[backend_name]
         )
-        result, _report = get_backend(backend_name).reconstruct(stack, config)
+        result, _report = get_backend(config.backend).reconstruct(stack, config)
         assert np.array_equal(reference.data, result.data)
         shutdown_shared_pool()
         shutdown_shared_thread_pool()

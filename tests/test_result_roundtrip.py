@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.registry import available_backends
 from repro.core.session import BatchRunResult, load, session
 from repro.io.image_stack import (
     load_depth_resolved,
@@ -22,6 +21,7 @@ from repro.io.image_stack import (
     save_wire_scan,
 )
 from repro.utils.validation import ValidationError
+from tests.helpers import RUN_MODES
 
 
 def _provenance_modulo_outputs(run):
@@ -31,10 +31,10 @@ def _provenance_modulo_outputs(run):
 
 
 class TestSaveLoadRoundTrip:
-    @pytest.mark.parametrize("backend", sorted(available_backends()))
+    @pytest.mark.parametrize("backend", sorted(RUN_MODES))
     def test_round_trip_all_backends(self, backend, tmp_path, point_source_stack, depth_grid):
         stack, _ = point_source_stack
-        run = session(grid=depth_grid, backend=backend).run(stack)
+        run = session(grid=depth_grid, **RUN_MODES[backend]).run(stack)
         path = tmp_path / f"{backend}.h5lite"
 
         loaded = repro.load(run.save(path).output_path)

@@ -8,8 +8,10 @@ writes from >= 2 distinct threads), dict-field tracking, and the planted
 race in ``tests/fixtures/racepkg`` being caught at runtime.
 """
 
+import os
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -69,6 +71,19 @@ def _run_threads(target, n_threads=4, n_calls=200):
         worker.join()
 
 
+def _wait_for_os_thread_exit(thread, timeout_s=5.0):
+    """Block until *thread*'s OS thread is gone, not just its Python side.
+
+    ``join()`` returns before the OS thread has finished exiting; once it has,
+    the next thread started typically gets the same ``get_ident()``.  Linux
+    only (``/proc/self/task``); elsewhere this returns at once.
+    """
+    task = f"/proc/self/task/{thread.native_id}"
+    deadline = time.monotonic() + timeout_s
+    while os.path.exists(task) and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
 # --------------------------------------------------------------------------- #
 class TestTrackedLock:
     def test_ownership_follows_acquire_release(self):
@@ -119,6 +134,25 @@ class TestInstrumentation:
         assert violation.field_name == "count"
         assert len(violation.threads) >= 2
         assert "written without its lock" in violation.render()
+
+    def test_sequential_short_lived_threads_are_distinct_writers(self):
+        """Two threads that never overlap still race: neither holds the lock.
+
+        CPython recycles ``threading.get_ident()`` once a thread exits, so
+        keying writers by it merges these two threads into one and misses
+        the race.
+        """
+        cls = instrument_class(_fresh_class(), ("count",))
+        shared = cls()
+        for _ in range(2):
+            worker = threading.Thread(target=shared.bump_racy)
+            worker.start()
+            worker.join()
+            _wait_for_os_thread_exit(worker)  # so the next thread reuses its ident
+        (violation,) = drain()
+        assert violation.field_name == "count"
+        assert len(violation.threads) == 2
+        assert violation.n_writes == 2
 
     def test_dict_field_item_store_is_tracked(self):
         cls = instrument_class(_fresh_class(), ("count", "table"))

@@ -20,8 +20,9 @@ from repro.core.session import BatchRunResult, RunResult, Session, session
 from repro.core.source import BatchSource, FileSource, StackSource, open as open_source
 from repro.io.image_stack import save_wire_scan
 from repro.utils.validation import ValidationError
-from tests.helpers import make_tiny_stack
+from tests.helpers import RUN_MODES, make_tiny_stack
 
+#: run modes (``RUN_MODES`` keys): every backend plus the process-pool executor
 ALL_BACKENDS = ("cpu_reference", "vectorized", "gpusim", "multiprocess")
 
 
@@ -337,9 +338,9 @@ class TestShimEquivalence:
         stack = _noisy_stack(masked=True)
         with pytest.warns(DeprecationWarning):
             old_result, old_report = DepthReconstructor(
-                grid=grid, backend=backend, rows_per_chunk=2
+                grid=grid, rows_per_chunk=2, **RUN_MODES[backend]
             ).reconstruct(stack)
-        run = session(grid=grid, backend=backend, rows_per_chunk=2).run(stack)
+        run = session(grid=grid, rows_per_chunk=2, **RUN_MODES[backend]).run(stack)
         np.testing.assert_array_equal(run.result.data, old_result.data)
         assert run.report.n_chunks == old_report.n_chunks
         assert run.report.backend == old_report.backend
@@ -354,8 +355,8 @@ class TestShimEquivalence:
         path = tmp_path / "scan.h5lite"
         save_wire_scan(path, _noisy_stack(masked=True))
         config = ReconstructionConfig(
-            grid=grid, backend=backend, rows_per_chunk=2, streaming=streaming,
-            subtract_background=True,
+            grid=grid, rows_per_chunk=2, streaming=streaming,
+            subtract_background=True, **RUN_MODES[backend],
         )
         with pytest.warns(DeprecationWarning):
             old = reconstruct_file(str(path), config)

@@ -1,5 +1,9 @@
 """Unit tests for noise models and the benchmark workload generator."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,20 @@ from repro.synthetic.workloads import (
     make_point_source_stack,
 )
 from repro.utils.validation import ValidationError
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _run_python(body: str, **env_overrides) -> str:
+    """Run *body* in a fresh interpreter with *env_overrides*; returns stdout."""
+    env = dict(os.environ, **env_overrides)
+    env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", body], capture_output=True, text=True,
+        timeout=120, cwd=REPO_ROOT, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 class TestNoise:
@@ -101,6 +119,18 @@ class TestWorkloads:
         a = make_benchmark_workload("2.1G", scale=1.0 / 32768.0, seed=11)
         b = make_benchmark_workload("2.1G", scale=1.0 / 32768.0, seed=11)
         np.testing.assert_array_equal(a.stack.images, b.stack.images)
+
+    def test_stack_independent_of_hash_seed(self):
+        """Same arguments, same stack in every process: the generator's seed
+        must not come from string hashing, which PYTHONHASHSEED salts."""
+        body = (
+            "import hashlib\n"
+            "from repro.synthetic.workloads import make_benchmark_workload\n"
+            "workload = make_benchmark_workload('0.2MB', pixel_fraction=0.5, seed=5)\n"
+            "print(hashlib.sha256(workload.stack.images.tobytes()).hexdigest())\n"
+        )
+        digests = {_run_python(body, PYTHONHASHSEED=seed) for seed in ("1", "2")}
+        assert len(digests) == 1
 
     def test_different_seeds_differ(self):
         a = make_benchmark_workload("2.1G", scale=1.0 / 32768.0, seed=1)

@@ -1,6 +1,6 @@
 """Threaded executor: identity, band planning, pool lifecycle, strategy plumbing.
 
-The threaded backend's contract mirrors the multiprocess one — **bitwise
+The ``threads`` executor's contract mirrors the ``processes`` one — **bitwise
 identity** with the serial engine under any chunking, any band split and any
 worker count — plus the properties that make threads worth having: view-only
 band dispatch (no slab copies), a bounded number of bands in flight during
@@ -67,8 +67,8 @@ class TestIdentity:
         stack = _noisy_stack(masked=True)
         grid = _grid()
         reference = _serial_reference(stack, grid)
-        config = ReconstructionConfig(grid=grid, backend="threaded", n_workers=n_workers)
-        result, report = get_backend("threaded").reconstruct(stack, config)
+        config = ReconstructionConfig(grid=grid, executor="threads", n_workers=n_workers)
+        result, report = get_backend("vectorized").reconstruct(stack, config)
         assert np.array_equal(reference.data, result.data)
         assert report.backend == "threaded"
 
@@ -78,9 +78,9 @@ class TestIdentity:
         grid = _grid()
         reference = _serial_reference(stack, grid)
         config = ReconstructionConfig(
-            grid=grid, backend="threaded", n_workers=2, rows_per_chunk=rows_per_chunk
+            grid=grid, executor="threads", n_workers=2, rows_per_chunk=rows_per_chunk
         )
-        result, _report = get_backend("threaded").reconstruct(stack, config)
+        result, _report = get_backend("vectorized").reconstruct(stack, config)
         assert np.array_equal(reference.data, result.data)
 
     def test_bitwise_identical_streamed(self, tmp_path):
@@ -90,7 +90,7 @@ class TestIdentity:
         path = str(tmp_path / "scan.h5lite")
         save_wire_scan(path, stack)
         config = ReconstructionConfig(
-            grid=grid, backend="threaded", n_workers=2, rows_per_chunk=2
+            grid=grid, executor="threads", n_workers=2, rows_per_chunk=2
         )
         source = StreamingWireScanSource(path)
         result, report = execute_backend(source, config)
@@ -103,7 +103,7 @@ class TestIdentity:
         stack = _noisy_stack(masked=True)
         grid = _grid()
         reference = _serial_reference(stack, grid)
-        config = ReconstructionConfig(grid=grid, backend="threaded", n_workers=4)
+        config = ReconstructionConfig(grid=grid, executor="threads", n_workers=4)
         executor = ThreadedExecutor(min_elements_per_dispatch=1)
         result, _report = execute(StackChunkSource(stack), config, executor)
         assert np.array_equal(reference.data, result.data)
@@ -113,9 +113,9 @@ class TestIdentity:
         grid = _grid()
         reference = _serial_reference(stack, grid, subtract_background=True)
         config = ReconstructionConfig(
-            grid=grid, backend="threaded", n_workers=2, subtract_background=True
+            grid=grid, executor="threads", n_workers=2, subtract_background=True
         )
-        result, _report = get_backend("threaded").reconstruct(stack, config)
+        result, _report = get_backend("vectorized").reconstruct(stack, config)
         assert np.array_equal(reference.data, result.data)
 
 
@@ -142,7 +142,7 @@ class TestBandDispatch:
         """A tiny chunk collapses to one band: no dispatch smaller than the floor."""
         stack = _noisy_stack(n_rows=6, n_cols=5, n_positions=9)
         grid = _grid()
-        config = ReconstructionConfig(grid=grid, backend="threaded", n_workers=4)
+        config = ReconstructionConfig(grid=grid, executor="threads", n_workers=4)
         executor = ThreadedExecutor()
         source = StackChunkSource(stack)
         plan = executor.plan(source, config)
@@ -159,7 +159,7 @@ class TestBandDispatch:
         path = str(tmp_path / "scan.h5lite")
         save_wire_scan(path, stack)
         config = ReconstructionConfig(
-            grid=_grid(), backend="threaded", n_workers=2, rows_per_chunk=1
+            grid=_grid(), executor="threads", n_workers=2, rows_per_chunk=1
         )
         executor = ThreadedExecutor(min_elements_per_dispatch=1)
         source = StreamingWireScanSource(path)
@@ -168,7 +168,7 @@ class TestBandDispatch:
 
     def test_report_extras_count_bands_and_elements(self):
         stack = _noisy_stack(n_rows=8)
-        config = ReconstructionConfig(grid=_grid(), backend="threaded", n_workers=2)
+        config = ReconstructionConfig(grid=_grid(), executor="threads", n_workers=2)
         executor = ThreadedExecutor(min_elements_per_dispatch=1)
         _result, report = execute(StackChunkSource(stack), config, executor)
         assert report.n_kernel_launches >= 2  # at least one band per worker
@@ -176,7 +176,7 @@ class TestBandDispatch:
 
     def test_worker_count_clamped_to_rows(self):
         stack = _noisy_stack(n_rows=3)
-        config = ReconstructionConfig(grid=_grid(), backend="threaded", n_workers=16)
+        config = ReconstructionConfig(grid=_grid(), executor="threads", n_workers=16)
         executor = ThreadedExecutor()
         source = StackChunkSource(stack)
         executor.prepare(source, config, executor.plan(source, config))
@@ -187,8 +187,8 @@ class TestBandDispatch:
 class TestPoolLifecycle:
     def test_shared_pool_reused_across_runs(self):
         stack = _noisy_stack()
-        config = ReconstructionConfig(grid=_grid(), backend="threaded", n_workers=2)
-        backend = get_backend("threaded")
+        config = ReconstructionConfig(grid=_grid(), executor="threads", n_workers=2)
+        backend = get_backend("vectorized")
         backend.reconstruct(stack, config)
         pool = shared_thread_pool(2)
         spawns_before = pool.n_spawns
@@ -198,7 +198,7 @@ class TestPoolLifecycle:
 
     def test_single_worker_runs_inline(self):
         stack = _noisy_stack()
-        config = ReconstructionConfig(grid=_grid(), backend="threaded", n_workers=1)
+        config = ReconstructionConfig(grid=_grid(), executor="threads", n_workers=1)
         executor = ThreadedExecutor()
         source = StackChunkSource(stack)
         executor.prepare(source, config, executor.plan(source, config))
@@ -215,7 +215,7 @@ class TestStrategyPlumbing:
         grid = _grid()
         reference = _serial_reference(stack, grid)
         config = ReconstructionConfig(
-            grid=grid, backend="vectorized", executor="threads", n_workers=2
+            grid=grid, executor="threads", n_workers=2
         )
         result, report = execute(
             StackChunkSource(stack), config, make_strategy_executor(config)
@@ -246,7 +246,7 @@ class TestStrategyPlumbing:
 
     def test_executor_field_round_trips_config(self):
         config = ReconstructionConfig(
-            grid=_grid(), backend="vectorized", executor="threads", n_workers=AUTO
+            grid=_grid(), executor="threads", n_workers=AUTO
         )
         clone = ReconstructionConfig.from_dict(config.to_dict())
         assert clone.executor == "threads"

@@ -126,14 +126,14 @@ class TestSharedPool:
         assert default_worker_count() >= 2
 
     def test_pool_runs_reuse_one_spawn(self):
-        """Many multiprocess runs inside one pool() share one executor."""
+        """Many process-pool runs inside one pool() share one executor."""
         from repro.core.depth_grid import DepthGrid
         from repro.core.session import session
         from tests.helpers import make_tiny_stack
 
         stack = make_tiny_stack(n_rows=6, n_cols=4, n_positions=9)
         sess = session(
-            grid=DepthGrid.from_range(0.0, 100.0, 8), backend="multiprocess", n_workers=2
+            grid=DepthGrid.from_range(0.0, 100.0, 8), executor="processes", n_workers=2
         )
         with repro.pool(2) as pinned:
             for _ in range(3):
@@ -156,7 +156,7 @@ class TestSharedPool:
             save_wire_scan(path, stack)
             paths.append(str(path))
         sess = session(
-            grid=DepthGrid.from_range(0.0, 100.0, 8), backend="multiprocess", n_workers=4
+            grid=DepthGrid.from_range(0.0, 100.0, 8), executor="processes", n_workers=4
         )
         batch = sess.run_many(paths, max_workers=2)
         assert batch.n_ok == 4
@@ -298,7 +298,7 @@ class TestInterpreterExitCleanup:
     def test_multiprocess_run_without_explicit_shutdown_leaves_no_segments(self):
         """A real shm-dispatch run + plain interpreter exit leaks nothing.
 
-        The subprocess reconstructs on the multiprocess backend (zero-copy
+        The subprocess reconstructs on the process-pool executor (zero-copy
         dispatch), prints every segment name its executor's arena created,
         and exits without calling shutdown_shared_pool() or any close —
         the atexit-registered cleanup must leave /dev/shm empty.
@@ -312,9 +312,9 @@ class TestInterpreterExitCleanup:
             "stack = make_tiny_stack(n_rows=4, n_cols=4, n_positions=9)\n"
             "config = ReconstructionConfig(\n"
             "    grid=DepthGrid.from_range(0.0, 100.0, 8),\n"
-            "    backend='multiprocess', n_workers=2,\n"
+            "    executor='processes', n_workers=2,\n"
             ")\n"
-            "executor = MultiprocessExecutor(dispatch='shm')\n"
+            "executor = MultiprocessExecutor()\n"
             "execute(StackChunkSource(stack), config, executor)\n"
             "for name in executor.arena.created_names:\n"
             "    print(name)\n"
